@@ -4,7 +4,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: test lint trace-smoke query-smoke updates-smoke \
 	optimizer-smoke shard-smoke health-smoke bench-smoke bench-chase \
 	bench bench-query bench-updates bench-optimizer bench-shard \
-	bench-json bench-check bench-check-smoke
+	bench-json bench-check bench-check-smoke perfbench-test
 
 # Tier-1: the whole unit/integration suite, after the static, tracing,
 # query-engine, incremental-maintenance, optimizer, shard and health
@@ -77,6 +77,13 @@ health-smoke:
 		echo "health-smoke: breached threshold did not alert"; exit 1; \
 	fi
 	@echo "health-smoke: exit codes ok"
+
+# The repo benchmark's own tests (not collected by tier-1, whose
+# testpaths is tests/): tiny serve and design runs through every
+# output check, including maintained C ≡ a fresh chase of the final A
+# through both hops — the end-to-end incremental ≡ recompute oracle.
+perfbench-test:
+	$(PYTHON) -m pytest perfbench/test_perfbench.py -q
 
 # Fast perf sanity after tier-1: smallest size only, no JSON rewrite.
 bench-smoke: test

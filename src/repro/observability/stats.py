@@ -7,8 +7,10 @@ data model; the instances layer maintains it (see
 :meth:`repro.instances.database.Instance.relation_stats`, which caches
 a :class:`RelationStats` per relation under the same validation
 contract as the persistent attribute indexes and cached column
-batches: appends absorbed in place, removals/epoch bumps rebuilding),
-and :mod:`repro.algebra.estimate` consumes it.
+batches: appends absorbed in place (:meth:`RelationStats.absorb`),
+removals retracted in place (:meth:`RelationStats.retract`), list
+replacement and epoch bumps rebuilding), and
+:mod:`repro.algebra.estimate` consumes it.
 
 A :class:`ColumnStats` keeps an exact value→count map (the engine's
 relations are small enough that a full frequency table is cheaper than
@@ -25,7 +27,8 @@ most-common-values sketch size.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from operator import ne
+from typing import Iterable, Mapping, Optional, Sequence
 
 from repro.instances.labeled_null import LabeledNull
 
@@ -65,6 +68,27 @@ def _stat_key(value: object) -> object:
     except TypeError:
         return ("<unhashable>", repr(value))
     return value
+
+
+def _value_kind(value_type: type) -> str:
+    """The ordering kind :meth:`ColumnStats.observe` gives values of
+    ``value_type``."""
+    if issubclass(value_type, _NUMERIC):
+        return "num"
+    if issubclass(value_type, str):
+        return "str"
+    return "off"
+
+
+def _leads_with_nan(rows: Sequence[Mapping[str, object]], name: str) -> bool:
+    """Is the first value of column ``name`` that :meth:`ColumnStats.observe`
+    would order a NaN?  (Then a from-scratch build's min and max are
+    that NaN.)  Usually decided by the first row."""
+    for row in rows:
+        value = row.get(name)
+        if value is not None and not isinstance(value, LabeledNull):
+            return value != value
+    return False
 
 
 def display_key(key: object) -> object:
@@ -130,6 +154,57 @@ class ColumnStats:
             self.lo = value
         elif value > self.hi:
             self.hi = value
+
+    def retract(self, value: object) -> bool:
+        """Undo one earlier :meth:`observe` of ``value``.
+
+        Counts are decremented exactly; ``kind``/``lo``/``hi`` are left
+        alone.  Returns True when the retraction removed the last copy
+        of a value that may have set them (an extreme, or any value of
+        an ``"off"`` column): :meth:`refresh_order` is then due, which
+        the caller runs once per column per removal batch."""
+        self.present -= 1
+        if value is None:
+            self.nulls -= 1
+            return False
+        if isinstance(value, LabeledNull):
+            self.labeled -= 1
+            return False
+        key = _stat_key(value)
+        counts = self.counts
+        count = counts[key] - 1
+        if count:
+            counts[key] = count
+            return False
+        del counts[key]
+        return self.kind == "off" or key == self.lo or key == self.hi
+
+    def refresh_order(self) -> bool:
+        """Recompute ``kind``/``lo``/``hi`` from the surviving values.
+
+        :meth:`observe` makes ``lo``/``hi`` the ``min``/``max`` of the
+        values in row order, which is order-free unless a NaN is among
+        them; then this returns False, and the statistics cannot be
+        kept exact without the row order."""
+        keys = self.counts.keys()
+        if not keys:
+            self.kind = None
+            self.lo = self.hi = None
+            return True
+        kind = self.kind
+        if kind == "off":
+            # Retractions cannot mix a column, but they can unmix one.
+            kinds = {_value_kind(t) for t in set(map(type, keys))}
+            kind = kinds.pop() if len(kinds) == 1 else "off"
+            self.kind = kind
+            if kind == "off":
+                self.lo = self.hi = None
+                return True
+        if kind == "num" and any(map(ne, keys, keys)):
+            return False
+        self.lo = min(keys)
+        self.hi = max(keys)
+        return True
 
     # ------------------------------------------------------------------
     @property
@@ -201,9 +276,10 @@ class ColumnStats:
 class RelationStats:
     """Row count plus per-column :class:`ColumnStats` for one relation.
 
-    Built once from the backing rows and then *absorbed* forward on
-    appends (:meth:`absorb`), so keeping statistics fresh costs work
-    proportional to the rows added since the last read, not to the
+    Built once from the backing rows, then *absorbed* forward on
+    appends (:meth:`absorb`) and *retracted* on removals
+    (:meth:`retract`), so keeping statistics fresh costs work
+    proportional to the rows changed since the last read, not to the
     relation.
     """
 
@@ -234,6 +310,46 @@ class RelationStats:
                     column = columns[name] = ColumnStats()
                 column.observe(value)
         self.rows += added
+
+    def retract(
+        self,
+        rows: Iterable[Mapping[str, object]],
+        survivors: Sequence[Mapping[str, object]],
+    ) -> bool:
+        """Fold removed rows out of the statistics in place.
+
+        ``rows`` must have been absorbed before; ``survivors`` are the
+        relation's remaining rows in order, starting with those the
+        statistics still cover (later rows may follow).  Counts are exact; a
+        column no survivor carries is dropped; ``kind``/``lo``/``hi``
+        are recomputed once per column, and only when a retraction left
+        them stale.  Returns False when the result cannot be made equal
+        to a from-scratch build without a full pass (a numeric column
+        whose min/max a NaN decides, since that depends on row order):
+        the caller must then rebuild."""
+        columns = self.columns
+        stale: dict[str, bool] = {}
+        removed = 0
+        for row in rows:
+            removed += 1
+            for name, value in row.items():
+                if columns[name].retract(value):
+                    stale[name] = True
+                else:
+                    stale.setdefault(name, False)
+        self.rows -= removed
+        for name, refresh in stale.items():
+            column = columns[name]
+            if not column.present:
+                del columns[name]
+            elif refresh:
+                if not column.refresh_order():
+                    return False
+            elif column.kind == "num" and (
+                column.lo != column.lo or _leads_with_nan(survivors, name)
+            ):
+                return False
+        return True
 
     # ------------------------------------------------------------------
     def column(self, name: str) -> Optional[ColumnStats]:

@@ -8,8 +8,10 @@ reproduce every row dict exactly, for homogeneous and ragged shapes,
 labeled nulls, ``None`` cells, mixed-type columns and empty relations.
 The cache tests pin the persistent-index maintenance contract that
 :meth:`Instance.column_batch` shares with the (relation, attr)
-indexes: appends extend in place, removals and ``mark_dirty`` force a
-rebuild, and a clean re-read is a hit that returns the same object.
+indexes: appends extend in place, a removal from a full batch swaps in
+a trimmed copy (copy-on-write) while a ragged one and ``mark_dirty``
+force a rebuild, and a clean re-read is a hit that returns the same
+object.
 """
 
 import random
@@ -179,17 +181,76 @@ def test_append_extends_batch_in_place():
     assert bytes(grown.cols["b"].present) == b"\x00\x01"
 
 
-def test_remove_rows_drops_cache_and_rebuilds():
+def _assert_batch_fresh(db, relation):
+    cached = db.column_batch(relation)
+    expected = ColumnBatch.from_rows(list(db.rows(relation)))
+    assert cached.names == expected.names
+    assert cached.nrows == expected.nrows
+    for name in expected.names:
+        assert cached.cols[name].present == expected.cols[name].present
+    assert cached.to_rows() == expected.to_rows()
+
+
+def test_remove_rows_trims_a_copy_of_the_batch():
     db = Instance()
     db.insert_all("R", [{"a": 1}, {"a": 2}, {"a": 3}])
-    stale = db.column_batch("R")
+    handed_out = db.column_batch("R")
+    values = handed_out.cols["a"].values
     victims = [row for row in db.rows("R") if row["a"] == 2]
-    db.remove_rows("R", victims)
     before = _stats(db)
+    db.remove_rows("R", victims)
+    assert db.index_stats["retracts"] == before["retracts"] + 1
     fresh = db.column_batch("R")
-    assert fresh is not stale
-    assert db.index_stats["rebuilds"] == before["rebuilds"] + 1
+    assert db.index_stats["rebuilds"] == before["rebuilds"]
+    assert db.index_stats["hits"] == before["hits"] + 1
+    assert fresh is not handed_out
     assert fresh.to_rows() == [{"a": 1}, {"a": 3}]
+    _assert_batch_fresh(db, "R")
+    # Copy-on-write: the batch handed out before the removal (and the
+    # value list a join may share with it) is unchanged.
+    assert handed_out.nrows == 3
+    assert handed_out.cols["a"].values is values
+    assert values == [1, 2, 3]
+
+
+def test_remove_rows_from_a_ragged_batch_rebuilds():
+    db = Instance()
+    db.insert_all("R", [{"a": 1}, {"a": 2, "b": 0}, {"a": 3}])
+    db.column_batch("R")
+    before = _stats(db)
+    db.remove_rows("R", [db.rows("R")[0]])
+    assert db.index_stats["retracts"] == before["retracts"]
+    db.column_batch("R")
+    assert db.index_stats["rebuilds"] == before["rebuilds"] + 1
+    _assert_batch_fresh(db, "R")
+
+
+def test_remove_first_row_keeps_batch_only_if_column_order_holds():
+    db = Instance()
+    db.insert_all("R", [{"a": 1, "b": 1}, {"a": 2, "b": 2}, {"b": 3, "a": 3}])
+    db.column_batch("R")
+    db.remove_rows("R", [db.rows("R")[0]])  # next first row: same order
+    before = _stats(db)
+    db.column_batch("R")
+    assert db.index_stats["hits"] == before["hits"] + 1
+    _assert_batch_fresh(db, "R")
+    db.remove_rows("R", [db.rows("R")[0]])  # next first row: (b, a)
+    before = _stats(db)
+    assert db.column_batch("R").names == ("b", "a")
+    assert db.index_stats["rebuilds"] == before["rebuilds"] + 1
+    _assert_batch_fresh(db, "R")
+
+
+def test_remove_rows_past_the_watermark_leaves_batch_as_is():
+    db = Instance()
+    db.insert_all("R", [{"a": 1}, {"a": 2, "b": 0}])
+    batch = db.column_batch("R")  # ragged
+    db.insert_all("R", [{"a": 3}, {"a": 4}])
+    db.remove_rows("R", [db.rows("R")[2]])
+    before = _stats(db)
+    assert db.column_batch("R") is batch  # extended, not rebuilt
+    assert db.index_stats["extends"] == before["extends"] + 1
+    _assert_batch_fresh(db, "R")
 
 
 def test_mark_dirty_invalidates_batch():

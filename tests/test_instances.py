@@ -86,6 +86,45 @@ class TestInstanceBasics:
         assert len(removed) == 1
         assert db.rows("R") == [{"x": 2}]
 
+    def test_delete_calls_the_predicate_once_per_row(self):
+        db = Instance()
+        db.insert_all("R", [{"x": i} for i in range(6)])
+        calls = []
+
+        def every_other(row):
+            calls.append(row["x"])
+            return len(calls) % 2 == 0  # stateful: 2nd, 4th, 6th call
+
+        removed = db.delete("R", every_other)
+        assert calls == [0, 1, 2, 3, 4, 5]
+        assert [r["x"] for r in removed] == [1, 3, 5]
+        assert [r["x"] for r in db.rows("R")] == [0, 2, 4]
+
+    def test_delete_keeps_other_relations_caches(self):
+        db = Instance()
+        db.insert_all("R", [{"x": 1}, {"x": 2}])
+        db.insert_all("S", [{"y": 1}, {"y": 2}])
+        stats, batch = db.relation_stats("S"), db.column_batch("S")
+        db.relation_stats("R")
+        db.column_batch("R")
+        before = dict(db.index_stats)
+        db.delete("R", lambda r: r["x"] == 1)
+        assert db.relation_stats("S") is stats
+        assert db.column_batch("S") is batch
+        assert db.relation_stats("R").rows == 1
+        assert db.column_batch("R").to_rows() == [{"x": 2}]
+        after = db.index_stats
+        assert after["stats_rebuilds"] == before["stats_rebuilds"]
+        assert after["rebuilds"] == before["rebuilds"]
+        assert after["stats_retracts"] == before["stats_retracts"] + 1
+
+    def test_delete_drops_an_emptied_relation(self):
+        db = Instance()
+        db.add("R", x=1)
+        assert db.delete("R", lambda r: True) == [{"x": 1}]
+        assert "R" not in db.relations
+        assert db.delete("R", lambda r: True) == []
+
     def test_union_and_contains(self):
         a, b = Instance(), Instance()
         a.add("R", x=1)

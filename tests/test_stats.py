@@ -1,14 +1,15 @@
 """Statistics service: maintenance invariants and estimator rules.
 
 The central invariant: however a relation got to its current rows —
-appends absorbed in place, removals, clears, epoch bumps — the cached
-:class:`RelationStats` the instance serves must equal the statistics
-recomputed from scratch over the current rows.  The randomized test
-drives arbitrary mutation sequences (including labeled nulls, SQL
-nulls, ragged rows, and unhashable cells) and checks that equality
-after every step.
+appends absorbed in place, removals retracted in place, clears, epoch
+bumps — the cached :class:`RelationStats` and column batch the instance
+serves must equal the statistics and batch built from scratch over the
+current rows.  The randomized test drives arbitrary mutation sequences
+(including labeled nulls, SQL nulls, ragged rows, and unhashable cells)
+and checks that equality after every step.
 """
 
+import math
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from repro.algebra.estimate import (
     worst_divergent,
 )
 from repro.algebra.plan_cache import PlanCache
+from repro.instances.columnar import ColumnBatch
 from repro.instances.database import Instance
 from repro.instances.labeled_null import LabeledNull
 from repro.observability.stats import (
@@ -106,108 +108,299 @@ def test_relation_stats_null_fraction_counts_missing_columns():
 # ----------------------------------------------------------------------
 # incremental maintenance == from scratch
 # ----------------------------------------------------------------------
+def _random_value(rng: random.Random) -> object:
+    roll = rng.random()
+    if roll < 0.15:
+        return None
+    if roll < 0.3:
+        return LabeledNull(f"n{rng.randrange(5)}")
+    if roll < 0.6:
+        return rng.randrange(8)
+    if roll < 0.85:
+        return rng.choice(["x", "y", "z"])
+    return [rng.randrange(3)]  # unhashable
+
+
 def _random_row(rng: random.Random) -> dict:
     row = {}
     for name in ("a", "b", "c"):
         if rng.random() < 0.3:
             continue  # ragged: column absent from this row
-        roll = rng.random()
-        if roll < 0.15:
-            row[name] = None
-        elif roll < 0.3:
-            row[name] = LabeledNull(f"n{rng.randrange(5)}")
-        elif roll < 0.6:
-            row[name] = rng.randrange(8)
-        elif roll < 0.85:
-            row[name] = rng.choice(["x", "y", "z"])
-        else:
-            row[name] = [rng.randrange(3)]  # unhashable
+        row[name] = _random_value(rng)
     return row
 
 
-def _assert_stats_fresh(instance: Instance) -> None:
+def _homogeneous_row(rng: random.Random) -> dict:
+    """Every row carries every column (so the cached batch stays full
+    and removals take the copy-on-write path); mostly numbers, so
+    min/max move as rows go.  Key order varies now and then, which
+    changes the batch's column order when the first row goes."""
+    names = ["k", "v", "w"]
+    if rng.random() < 0.1:
+        rng.shuffle(names)
+    row = {}
+    for name in names:
+        roll = rng.random()
+        if roll < 0.7:
+            row[name] = rng.randrange(20)
+        elif roll < 0.8:
+            row[name] = rng.choice(["x", "y"])
+        else:
+            row[name] = _random_value(rng)
+    return row
+
+
+def _assert_fresh(instance: Instance) -> None:
+    """Cached statistics and column batches equal from-scratch builds."""
     for relation in instance.relation_names():
-        expected = RelationStats.from_rows(
-            relation, instance.rows(relation)
-        )
+        rows = list(instance.rows(relation))
+        expected = RelationStats.from_rows(relation, rows)
         assert instance.relation_stats(relation) == expected, relation
+        batch = instance.column_batch(relation)
+        scratch = ColumnBatch.from_rows(rows)
+        assert batch.names == scratch.names, relation
+        assert batch.nrows == scratch.nrows == len(rows), relation
+        for name in scratch.names:
+            assert batch.cols[name].present == scratch.cols[name].present
+        assert batch.to_rows() == scratch.to_rows() == rows, relation
 
 
-@pytest.mark.parametrize("seed", range(6))
+_MAKERS = {"r": _random_row, "s": _random_row, "h": _homogeneous_row}
+
+
+def _mutate(instance: Instance, rng: random.Random) -> None:
+    relation = rng.choice(sorted(_MAKERS))
+    action = rng.random()
+    if action < 0.5:
+        instance.insert_all(
+            relation,
+            [_MAKERS[relation](rng) for _ in range(rng.randrange(1, 5))],
+        )
+    elif action < 0.75:
+        rows = list(instance.rows(relation))
+        if rows:
+            victims = rng.sample(rows, rng.randrange(1, min(len(rows), 4) + 1))
+            instance.remove_rows(relation, victims)
+    elif action < 0.85:
+        column = rng.choice(["a", "b", "k", "v"])
+        value = rng.randrange(8)
+        instance.delete(relation, lambda row: row.get(column) == value)
+    elif action < 0.9:
+        instance.clear(relation)
+    elif action < 0.95:
+        instance.mark_dirty()
+    # else: no mutation — exercise the cache-hit path
+
+
+@pytest.mark.parametrize("seed", range(12))
 def test_randomized_maintenance_matches_from_scratch(seed):
     rng = random.Random(seed)
     instance = Instance()
-    relations = ("r", "s")
-    for _ in range(60):
-        relation = rng.choice(relations)
-        action = rng.random()
-        if action < 0.55:
-            instance.insert_all(
-                relation,
-                [_random_row(rng) for _ in range(rng.randrange(1, 5))],
-            )
-        elif action < 0.75:
-            rows = list(instance.rows(relation))
-            if rows:
-                victims = rng.sample(rows, rng.randrange(1, len(rows) + 1))
-                instance.remove_rows(relation, victims)
-        elif action < 0.85:
-            instance.clear(relation)
-        elif action < 0.95:
-            instance.mark_dirty()
-        # else: no mutation — exercise the cache-hit path
-        if rng.random() < 0.5:
-            _assert_stats_fresh(instance)
-    _assert_stats_fresh(instance)
+    for _ in range(80):
+        # Several mutations per step, so removals also meet rows
+        # appended after the last read (a partly absorbed watermark).
+        for _ in range(rng.randrange(1, 4)):
+            _mutate(instance, rng)
+        _assert_fresh(instance)
+
+
+def _primed(rows: list[dict]) -> Instance:
+    instance = Instance()
+    instance.insert_all("r", rows)
+    instance.relation_stats("r")
+    instance.column_batch("r")
+    return instance
+
+
+def _remove_where(instance: Instance, predicate) -> None:
+    victims = [row for row in instance.rows("r") if predicate(row)]
+    assert victims
+    instance.remove_rows("r", victims)
+
+
+def _retracted(instance: Instance) -> tuple[int, int]:
+    counters = instance.index_stats
+    return counters["stats_retracts"], counters["stats_rebuilds"]
+
+
+def test_removing_the_min_or_max_recomputes_them():
+    instance = _primed([{"a": v} for v in (5, 1, 9, 1, 7)])
+    _remove_where(instance, lambda row: row["a"] == 9)
+    assert instance.relation_stats("r").column("a").hi == 7
+    _assert_fresh(instance)
+    _remove_where(instance, lambda row: row["a"] == 1)
+    assert instance.relation_stats("r").column("a").lo == 5
+    _assert_fresh(instance)
+    assert _retracted(instance) == (2, 1)  # the one rebuild is the first read
+
+
+def test_removing_one_copy_of_an_extreme_keeps_it():
+    instance = _primed([{"a": v} for v in (3, 1, 1, 4)])
+    _remove_where(instance, lambda row: row is instance.rows("r")[1])
+    assert instance.relation_stats("r").column("a").lo == 1
+    _assert_fresh(instance)
+
+
+def test_mixed_column_becomes_ordered_again():
+    instance = _primed([{"a": 3}, {"a": "odd"}, {"a": 1}, {"a": (2,)}])
+    assert instance.relation_stats("r").column("a").kind == "off"
+    _remove_where(instance, lambda row: row["a"] == "odd")
+    assert instance.relation_stats("r").column("a").kind == "off"
+    _assert_fresh(instance)
+    _remove_where(instance, lambda row: row["a"] == (2,))
+    column = instance.relation_stats("r").column("a")
+    assert (column.kind, column.lo, column.hi) == ("num", 1, 3)
+    _assert_fresh(instance)
+
+
+def test_removing_labeled_nulls_and_unhashable_values():
+    rows = [
+        {"a": LabeledNull("n1")}, {"a": [1]}, {"a": None}, {"a": [1]},
+        {"a": LabeledNull("n1")}, {"a": 2},
+    ]
+    instance = _primed(rows)
+    _remove_where(instance, lambda row: isinstance(row["a"], LabeledNull))
+    assert instance.relation_stats("r").column("a").labeled == 0
+    _assert_fresh(instance)
+    _remove_where(instance, lambda row: row["a"] == [1])
+    column = instance.relation_stats("r").column("a")
+    assert column.frequency([1]) == 0
+    assert (column.kind, column.lo) == ("num", 2)
+    _assert_fresh(instance)
+    assert _retracted(instance) == (2, 1)
+
+
+def test_removing_rows_appended_after_the_last_read():
+    instance = _primed([{"a": 1}, {"a": 2}])
+    instance.insert_all("r", [{"a": 3}, {"a": 4}])  # past the watermark
+    _remove_where(instance, lambda row: row["a"] in (2, 4))
+    before = dict(instance.index_stats)
+    _assert_fresh(instance)
+    after = instance.index_stats
+    assert after["stats_extends"] == before["stats_extends"] + 1
+    assert after["stats_rebuilds"] == before["stats_rebuilds"]
+    assert [row["a"] for row in instance.rows("r")] == [1, 3]
+
+
+def test_removing_every_row_that_carries_a_column_drops_it():
+    instance = _primed([{"a": 1, "b": 2}, {"a": 3}, {"a": 4, "b": None}])
+    _remove_where(instance, lambda row: "b" in row)
+    stats = instance.relation_stats("r")
+    assert stats.column("b") is None
+    assert stats.null_fraction("b") == 1.0
+    _assert_fresh(instance)
+    _remove_where(instance, lambda row: True)
+    assert instance.relation_stats("r").columns == {}
+    _assert_fresh(instance)
+
+
+def test_ragged_rows_whose_column_order_would_change():
+    instance = _primed([{"a": 1}, {"b": 2}, {"a": 3, "b": 4}])
+    _remove_where(instance, lambda row: row is instance.rows("r")[0])
+    assert instance.column_batch("r").names == ("b", "a")
+    _assert_fresh(instance)
+
+
+def test_a_nan_deciding_min_max_falls_back_to_a_rebuild():
+    nan = float("nan")
+    # The first ordered value decides: NaN first makes min/max NaN, a
+    # NaN later is ignored.  Removing the row before it changes that.
+    instance = _primed([{"a": 2}, {"a": nan}, {"a": 1}, {"a": 5}])
+    assert instance.relation_stats("r").column("a").lo == 1
+    _remove_where(instance, lambda row: row is instance.rows("r")[0])
+    retracts, rebuilds = _retracted(instance)
+    column = instance.relation_stats("r").column("a")
+    assert _retracted(instance) == (retracts, rebuilds + 1)
+    assert math.isnan(column.lo) and math.isnan(column.hi)
+    # A NaN extreme cannot be retracted exactly either.
+    _remove_where(instance, lambda row: row["a"] == 5)
+    column = instance.relation_stats("r").column("a")
+    assert _retracted(instance) == (retracts, rebuilds + 2)
+    assert math.isnan(column.lo)
+    _remove_where(instance, lambda row: row["a"] != row["a"])
+    assert instance.relation_stats("r") == RelationStats.from_rows(
+        "r", instance.rows("r")
+    )
+
+
+def test_a_nan_that_comes_to_lead_one_of_several_columns():
+    nan = float("nan")
+    # Removing 5 empties no extreme, so only the walk to each column's
+    # first surviving value can see that b now leads with NaN.
+    rows = [{"a": 5, "b": 5}, {"b": nan}, {"a": 1, "b": 1}, {"a": 9, "b": 9}]
+    instance = _primed(rows)
+    assert instance.relation_stats("r").column("b").lo == 1
+    _remove_where(instance, lambda row: row is instance.rows("r")[0])
+    retracts, rebuilds = _retracted(instance)
+    stats = instance.relation_stats("r")
+    assert _retracted(instance) == (retracts, rebuilds + 1)
+    assert (stats.column("a").lo, stats.column("a").hi) == (1, 9)
+    assert math.isnan(stats.column("b").lo)
 
 
 def test_stats_counters_follow_the_validation_contract():
     instance = Instance()
     instance.insert_all("r", [{"a": 1}, {"a": 2}])
+    keys = (
+        "stats_hits", "stats_extends", "stats_rebuilds", "stats_retracts",
+        "rebuilds", "retracts",
+    )
 
     def deltas():
         before = dict(instance.index_stats)
         def diff():
             return {
-                key: instance.index_stats[key] - before[key]
-                for key in ("stats_hits", "stats_extends", "stats_rebuilds")
+                key: instance.index_stats[key] - before[key] for key in keys
             }
         return diff
 
+    def counted(**changes):
+        return {key: changes.get(key, 0) for key in keys}
+
     diff = deltas()
     instance.relation_stats("r")  # cold: build
-    assert diff() == {
-        "stats_hits": 0, "stats_extends": 0, "stats_rebuilds": 1
-    }
+    assert diff() == counted(stats_rebuilds=1)
 
     diff = deltas()
     instance.relation_stats("r")  # warm: hit
-    assert diff() == {
-        "stats_hits": 1, "stats_extends": 0, "stats_rebuilds": 0
-    }
+    assert diff() == counted(stats_hits=1)
 
     instance.insert("r", {"a": 3})
     diff = deltas()
     stats = instance.relation_stats("r")  # append: extend in place
     assert stats.rows == 3
-    assert diff() == {
-        "stats_hits": 0, "stats_extends": 1, "stats_rebuilds": 0
-    }
+    assert diff() == counted(stats_extends=1)
 
-    instance.remove_rows("r", [instance.rows("r")[0]])
+    handed_out = instance.column_batch("r")
     diff = deltas()
-    stats = instance.relation_stats("r")  # removal: rebuild
+    instance.remove_rows("r", [instance.rows("r")[0]])
+    assert diff() == counted(stats_retracts=1, retracts=1)
+    diff = deltas()
+    stats = instance.relation_stats("r")  # removal: retracted, no rebuild
+    batch = instance.column_batch("r")
     assert stats.rows == 2
-    assert diff() == {
-        "stats_hits": 0, "stats_extends": 0, "stats_rebuilds": 1
-    }
+    assert diff() == counted(stats_hits=1)
+    assert stats == RelationStats.from_rows("r", instance.rows("r"))
+    assert batch.to_rows() == [{"a": 2}, {"a": 3}]
+    assert handed_out.to_rows() == [{"a": 1}, {"a": 2}, {"a": 3}]
+
+    # A removal neither cache can absorb exactly (a NaN leads the
+    # column; the batch is ragged) still shows as rebuilds on the
+    # next read.
+    instance.insert_all("r", [{"a": float("nan"), "b": 0}, {"a": 4}])
+    instance.relation_stats("r")
+    instance.column_batch("r")
+    diff = deltas()
+    instance.remove_rows("r", list(instance.rows("r")[:2]))
+    assert diff() == counted()
+    instance.relation_stats("r")
+    instance.column_batch("r")
+    assert diff() == counted(stats_rebuilds=1, rebuilds=1)
 
     instance.mark_dirty()
     diff = deltas()
     instance.relation_stats("r")  # epoch bump: rebuild
-    assert diff() == {
-        "stats_hits": 0, "stats_extends": 0, "stats_rebuilds": 1
-    }
+    assert diff() == counted(stats_rebuilds=1)
 
 
 def test_relation_stats_for_missing_relation_is_empty():
