@@ -2,15 +2,15 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test lint trace-smoke query-smoke updates-smoke \
-	optimizer-smoke shard-smoke health-smoke bench-smoke bench-chase \
+	optimizer-smoke shard-smoke health-smoke match-smoke bench-smoke bench-chase \
 	bench bench-query bench-updates bench-optimizer bench-shard \
 	bench-json bench-check bench-check-smoke perfbench-test
 
 # Tier-1: the whole unit/integration suite, after the static, tracing,
-# query-engine, incremental-maintenance, optimizer, shard and health
-# smoke gates.
+# query-engine, incremental-maintenance, optimizer, shard, health and
+# match smoke gates.
 test: lint trace-smoke query-smoke updates-smoke optimizer-smoke \
-		shard-smoke health-smoke
+		shard-smoke health-smoke match-smoke
 	$(PYTHON) -m pytest -x -q
 
 # Static checks: ruff with the pinned config in pyproject.toml.
@@ -77,6 +77,14 @@ health-smoke:
 		echo "health-smoke: breached threshold did not alert"; exit 1; \
 	fi
 	@echo "health-smoke: exit codes ok"
+
+# Match gate: the E1 quality table (the ensemble's top-3 hit rate at
+# least every single matcher's and its own best-1's, at three noise
+# levels) and the E9 incremental-matching sessions (decision counts
+# pinned).  No JSON rewrite.
+match-smoke:
+	$(PYTHON) benchmarks/bench_match_scaling.py --smoke
+	$(PYTHON) benchmarks/bench_incremental_match.py --smoke
 
 # The repo benchmark's own tests (not collected by tier-1, whose
 # testpaths is tests/): tiny serve and design runs through every

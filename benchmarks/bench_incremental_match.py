@@ -67,6 +67,12 @@ def test_incremental_session(benchmark, noise):
     assert confirmed >= 0.8 * len({s for s, _ in truth})
 
 
+#: (decisions, confirmed, rejections) per noise level.  Match scores
+#: and their tie-break are deterministic, so a change here means the
+#: ranking changed.
+E9_EXPECTED = {0.4: (31, 23, 8), 0.8: (27, 23, 4)}
+
+
 def test_incremental_report(benchmark):
     rows = []
     for noise in (0.4, 0.8):
@@ -79,6 +85,8 @@ def test_incremental_report(benchmark):
             noise, elements, decisions, confirmed,
             decisions - confirmed,  # wasted (rejections)
         ])
+        assert (decisions, confirmed, decisions - confirmed) == \
+            E9_EXPECTED[noise], (noise, rows[-1])
     schema, copy, truth = _workload(0.4)
     benchmark(
         lambda: _drive_session(

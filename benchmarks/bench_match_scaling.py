@@ -81,6 +81,7 @@ def test_match_quality_report(benchmark):
             )
             rows.append([noise, label, quality.precision, quality.recall,
                          quality.f1, quality.top_k_hit_rate])
+        single_best = max(row[-1] for row in rows if row[0] == noise)
         ensemble_all = match(schema, copy, MatchConfig(top_k=3,
                                                        threshold=0.1))
         ensemble = evaluate_against_truth(ensemble_all, truth)
@@ -88,6 +89,10 @@ def test_match_quality_report(benchmark):
                      ensemble.recall, ensemble.f1, ensemble.top_k_hit_rate])
         best_one = evaluate_against_truth(ensemble_all.best_one_to_one(),
                                           truth)
+        # The expected shape: the ensemble's top-3 lists hit at least as
+        # often as any single matcher's and as its own best-1 choice.
+        assert ensemble.top_k_hit_rate >= single_best, (noise, rows)
+        assert ensemble.top_k_hit_rate >= best_one.top_k_hit_rate, noise
         rows.append([noise, "ENSEMBLE best-1", best_one.precision,
                      best_one.recall, best_one.f1, best_one.top_k_hit_rate])
     schema, copy, _ = _workload(0.6)

@@ -2,76 +2,112 @@
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Iterator, Optional
 
-from repro.metamodel.schema import ElementPath, Schema
+from repro.metamodel.schema import Schema
 
 
 class SimilarityMatrix:
     """Sparse similarity scores between element paths of two schemas.
 
-    Scores live in [0, 1]; absent pairs are 0.  Matrices combine by
-    weighted sum (:meth:`blend`) and normalize per source element.
+    Scores live in [0, 1]; absent pairs are 0.  Scores are kept per
+    source row, so one source element's candidates cost O(row) to
+    rank.  Matrices combine by weighted sum (:meth:`blend`).  Equal
+    scores rank by the target's position in
+    ``target.all_element_paths()``.
     """
 
     def __init__(self, source: Schema, target: Schema):
         self.source = source
         self.target = target
-        self._scores: dict[tuple[str, str], float] = {}
+        self._rows: dict[str, dict[str, float]] = {}
+        self._target_rank: Optional[dict[str, int]] = None
 
     def set(self, source_path: str, target_path: str, score: float) -> None:
         if score <= 0.0:
-            self._scores.pop((source_path, target_path), None)
+            row = self._rows.get(source_path)
+            if row is not None:
+                row.pop(target_path, None)
+                if not row:
+                    del self._rows[source_path]
         else:
-            self._scores[(source_path, target_path)] = min(1.0, score)
+            row = self._rows.get(source_path)
+            if row is None:
+                row = self._rows[source_path] = {}
+            row[target_path] = min(1.0, score)
 
     def get(self, source_path: str, target_path: str) -> float:
-        return self._scores.get((source_path, target_path), 0.0)
+        row = self._rows.get(source_path)
+        return 0.0 if row is None else row.get(target_path, 0.0)
+
+    def row(self, source_path: str) -> dict[str, float]:
+        """A copy of one source element's nonzero scores."""
+        return dict(self._rows.get(source_path, ()))
+
+    def sources(self) -> list[str]:
+        """Source elements with at least one nonzero score."""
+        return list(self._rows)
 
     def items(self) -> Iterator[tuple[str, str, float]]:
-        for (source_path, target_path), score in self._scores.items():
-            yield source_path, target_path, score
+        for source_path, row in self._rows.items():
+            for target_path, score in row.items():
+                yield source_path, target_path, score
 
     def __len__(self) -> int:
-        return len(self._scores)
+        return sum(map(len, self._rows.values()))
 
     def blend(self, others: Iterable[tuple["SimilarityMatrix", float]]) -> "SimilarityMatrix":
         """Weighted combination of this matrix (weight folded in by the
         caller) with others; pairs missing from a matrix contribute 0."""
         result = SimilarityMatrix(self.source, self.target)
-        keys: set[tuple[str, str]] = set(self._scores)
-        weighted: list[tuple[SimilarityMatrix, float]] = list(others)
+        weighted = list(others)
+        weights = [weight for _, weight in weighted]
+        sources = dict.fromkeys(self._rows)
         for matrix, _ in weighted:
-            keys |= set(matrix._scores)
-        for key in keys:
-            total = self._scores.get(key, 0.0)
-            for matrix, weight in weighted:
-                total += weight * matrix._scores.get(key, 0.0)
-            if total > 0:
-                result._scores[key] = min(1.0, total)
+            sources.update(dict.fromkeys(matrix._rows))
+        empty: dict[str, float] = {}
+        for source_path in sources:
+            own = self._rows.get(source_path, empty)
+            rows = [matrix._rows.get(source_path, empty)
+                    for matrix, _ in weighted]
+            targets = dict.fromkeys(own)
+            for row in rows:
+                targets.update(dict.fromkeys(row))
+            blended: dict[str, float] = {}
+            for target_path in targets:
+                total = own.get(target_path, 0.0)
+                for row, weight in zip(rows, weights):
+                    total += weight * row.get(target_path, 0.0)
+                if total > 0:
+                    blended[target_path] = min(1.0, total)
+            if blended:
+                result._rows[source_path] = blended
         return result
 
     def scale(self, factor: float) -> "SimilarityMatrix":
         result = SimilarityMatrix(self.source, self.target)
-        for key, score in self._scores.items():
-            result._scores[key] = score * factor
+        for source_path, row in self._rows.items():
+            result._rows[source_path] = {
+                target_path: score * factor for target_path, score in row.items()
+            }
         return result
 
-    def normalized(self) -> "SimilarityMatrix":
-        """Divide by the global maximum so the best pair scores 1."""
-        best = max(self._scores.values(), default=0.0)
-        if best == 0:
-            return self
-        return self.scale(1.0 / best)
-
     def best_for_source(self, source_path: str, k: int = 1) -> list[tuple[str, float]]:
-        candidates = [
-            (target_path, score)
-            for (s, target_path), score in self._scores.items()
-            if s == source_path
-        ]
-        candidates.sort(key=lambda item: -item[1])
-        return candidates[:k]
+        """The ``k`` highest-scoring targets of one source element."""
+        row = self._rows.get(source_path)
+        if not row:
+            return []
+        if self._target_rank is None:
+            self._target_rank = {
+                str(p.path): position
+                for position, p in enumerate(self.target.all_element_paths())
+            }
+        rank = self._target_rank
+        last = len(rank)
+        return heapq.nsmallest(
+            k, row.items(), key=lambda item: (-item[1], rank.get(item[0], last))
+        )
 
 
 class Matcher:

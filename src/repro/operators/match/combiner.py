@@ -54,12 +54,15 @@ class MatchConfig:
 def _build_matchers(config: MatchConfig) -> list[tuple[Matcher, float]]:
     matchers: list[tuple[Matcher, float]] = []
     weights = dict(config.weights)
+    # One lexical matcher serves the ensemble and seeds flooding.
+    lexical = LexicalMatcher()
     if weights.get("lexical", 0) > 0:
-        matchers.append((LexicalMatcher(), weights["lexical"]))
+        matchers.append((lexical, weights["lexical"]))
     if weights.get("similarity-flooding", 0) > 0:
         matchers.append(
             (
-                SimilarityFlooding(iterations=config.flooding_iterations),
+                SimilarityFlooding(iterations=config.flooding_iterations,
+                                   seed_matcher=lexical),
                 weights["similarity-flooding"],
             )
         )
@@ -92,12 +95,24 @@ def ensemble_similarity(
     config = config or MatchConfig()
     matchers = _build_matchers(config)
     total_weight = sum(weight for _, weight in matchers)
+    computed: dict[Matcher, SimilarityMatrix] = {}
+
+    def similarity(matcher: Matcher) -> SimilarityMatrix:
+        # Each matcher runs once; flooding reuses its seed matcher's
+        # matrix when the ensemble computes that matrix too.
+        if matcher not in computed:
+            if isinstance(matcher, SimilarityFlooding):
+                computed[matcher] = matcher.similarity(
+                    source, target, seed=similarity(matcher.seed_matcher)
+                )
+            else:
+                computed[matcher] = matcher.similarity(source, target)
+        return computed[matcher]
+
     first_matcher, first_weight = matchers[0]
-    combined = first_matcher.similarity(source, target).scale(
-        first_weight / total_weight
-    )
+    combined = similarity(first_matcher).scale(first_weight / total_weight)
     rest = [
-        (matcher.similarity(source, target), weight / total_weight)
+        (similarity(matcher), weight / total_weight)
         for matcher, weight in matchers[1:]
     ]
     return combined.blend(rest)

@@ -21,7 +21,6 @@ from typing import Optional
 
 from repro.mappings.correspondence import Correspondence, CorrespondenceSet
 from repro.metamodel.schema import ElementPath, Schema
-from repro.operators.match.base import SimilarityMatrix
 from repro.operators.match.combiner import MatchConfig, ensemble_similarity
 
 
@@ -134,13 +133,19 @@ class IncrementalMatcher:
                                     current + self.BOOST * (1 - current))
 
     def _penalize_competitors(self, source_path: str, target_path: str) -> None:
-        for s_path, t_path, score in list(self.matrix.items()):
-            competes = (
-                (s_path == source_path and t_path != target_path)
-                or (t_path == target_path and s_path != source_path)
-            )
-            if competes:
-                self.matrix.set(s_path, t_path, score * (1 - self.PENALTY))
+        """Scale down the other candidates of both confirmed elements:
+        the rest of the source's row and the rest of the target's
+        column."""
+        matrix = self.matrix
+        keep = 1 - self.PENALTY
+        for t_path, score in matrix.row(source_path).items():
+            if t_path != target_path:
+                matrix.set(source_path, t_path, score * keep)
+        for s_path in matrix.sources():
+            if s_path != source_path:
+                score = matrix.get(s_path, target_path)
+                if score > 0:
+                    matrix.set(s_path, target_path, score * keep)
 
     # ------------------------------------------------------------------
     def result(self) -> CorrespondenceSet:

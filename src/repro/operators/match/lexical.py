@@ -35,12 +35,13 @@ def tokenize(identifier: str) -> tuple[str, ...]:
     return tuple(t.lower() for t in _SPLITTER.findall(identifier))
 
 
-def _trigrams(text: str) -> set[str]:
+@lru_cache(maxsize=65536)
+def _trigrams(text: str) -> frozenset[str]:
     padded = f"  {text.lower()} "
-    return {padded[i : i + 3] for i in range(len(padded) - 2)}
+    return frozenset(padded[i : i + 3] for i in range(len(padded) - 2))
 
 
-def _dice(a: set, b: set) -> float:
+def _dice(a: frozenset, b: frozenset) -> float:
     if not a or not b:
         return 0.0
     return 2 * len(a & b) / (len(a) + len(b))
@@ -48,23 +49,49 @@ def _dice(a: set, b: set) -> float:
 
 @lru_cache(maxsize=65536)
 def _levenshtein(a: str, b: str) -> int:
+    """Edit distance by Hyyrö's bit-parallel form of Myers' algorithm:
+    one column of the DP matrix per character of ``b``, held as the
+    vertical deltas (+1 in ``plus``, -1 in ``minus``) of its
+    ``len(a)`` cells, bit i for row i + 1."""
     if not a:
         return len(b)
     if not b:
         return len(a)
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        current = [i]
-        for j, cb in enumerate(b, 1):
-            current.append(
-                min(
-                    previous[j] + 1,
-                    current[j - 1] + 1,
-                    previous[j - 1] + (ca != cb),
-                )
-            )
-        previous = current
-    return previous[-1]
+    matches: dict[str, int] = {}
+    for i, ch in enumerate(a):
+        matches[ch] = matches.get(ch, 0) | (1 << i)
+    full = (1 << len(a)) - 1
+    last = 1 << (len(a) - 1)
+    plus, minus, distance = full, 0, len(a)
+    for ch in b:
+        eq = matches.get(ch, 0) | minus
+        diagonal = (((eq & plus) + plus) ^ plus) | eq
+        h_plus = minus | ~(diagonal | plus)
+        h_minus = plus & diagonal
+        if h_plus & last:
+            distance += 1
+        elif h_minus & last:
+            distance -= 1
+        h_plus = (h_plus << 1) | 1
+        h_minus <<= 1
+        plus = (h_minus | ~(diagonal | h_plus)) & full
+        minus = h_plus & diagonal & full
+    return distance
+
+
+@lru_cache(maxsize=65536)
+def _token_pair_score(token_a: str, token_b: str) -> float:
+    """Similarity of two tokens: equal, prefix, abbreviation, or
+    scaled edit distance."""
+    if token_a == token_b:
+        return 1.0
+    if token_a.startswith(token_b) or token_b.startswith(token_a):
+        return 0.85
+    if _is_abbreviation(token_a, token_b) or _is_abbreviation(token_b, token_a):
+        return 0.75
+    distance = _levenshtein(token_a, token_b)
+    longest = max(len(token_a), len(token_b))
+    return max(0.0, 1.0 - distance / longest) * 0.7
 
 
 def _token_similarity(a: tuple[str, ...], b: tuple[str, ...]) -> float:
@@ -78,18 +105,7 @@ def _token_similarity(a: tuple[str, ...], b: tuple[str, ...]) -> float:
         for index, token_b in enumerate(b):
             if index in used:
                 continue
-            if token_a == token_b:
-                score = 1.0
-            elif token_a.startswith(token_b) or token_b.startswith(token_a):
-                score = 0.85
-            elif _is_abbreviation(token_a, token_b) or _is_abbreviation(
-                token_b, token_a
-            ):
-                score = 0.75
-            else:
-                distance = _levenshtein(token_a, token_b)
-                longest = max(len(token_a), len(token_b))
-                score = max(0.0, 1.0 - distance / longest) * 0.7
+            score = _token_pair_score(token_a, token_b)
             if score > best:
                 best, best_index = score, index
         if best_index >= 0 and best > 0.3:
@@ -157,11 +173,21 @@ class LexicalMatcher(Matcher):
                 entity_scores[(s_entity, t_entity)] = score
                 if score > self.floor:
                     matrix.set(s_entity, t_entity, score)
+        target_attrs = [
+            (t_path, *t_path.split(".", 1))
+            for t_path in self.attribute_paths(target)
+        ]
+        # Attribute names repeat across entities: score each distinct
+        # name pair once per call.
+        names: dict[tuple[str, str], float] = {}
         for s_path in self.attribute_paths(source):
             s_entity, s_attr = s_path.split(".", 1)
-            for t_path in self.attribute_paths(target):
-                t_entity, t_attr = t_path.split(".", 1)
-                score = name_similarity(s_attr, t_attr)
+            for t_path, t_entity, t_attr in target_attrs:
+                score = names.get((s_attr, t_attr))
+                if score is None:
+                    score = names[(s_attr, t_attr)] = name_similarity(
+                        s_attr, t_attr
+                    )
                 owner = entity_scores.get((s_entity, t_entity), 0.0)
                 blended = 0.85 * score + 0.15 * owner
                 if blended > self.floor:

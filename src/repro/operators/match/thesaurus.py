@@ -62,21 +62,25 @@ class ThesaurusMatcher(Matcher):
             self.thesaurus.get(token, token) for token in tokenize(identifier)
         }
 
-    def _score(self, a: str, b: str) -> float:
-        canon_a, canon_b = self._canonical(a), self._canonical(b)
+    @staticmethod
+    def _overlap(canon_a: set[str], canon_b: set[str]) -> float:
         if not canon_a or not canon_b:
             return 0.0
-        overlap = len(canon_a & canon_b)
-        return overlap / max(len(canon_a), len(canon_b))
+        return len(canon_a & canon_b) / max(len(canon_a), len(canon_b))
 
     def similarity(self, source: Schema, target: Schema) -> SimilarityMatrix:
         matrix = SimilarityMatrix(source, target)
         for s_entity in source.entities:
+            canon = self._canonical(s_entity)
             for t_entity in target.entities:
-                matrix.set(s_entity, t_entity, self._score(s_entity, t_entity))
+                matrix.set(s_entity, t_entity,
+                           self._overlap(canon, self._canonical(t_entity)))
+        target_attrs = [
+            (t_path, self._canonical(t_path.split(".", 1)[1]))
+            for t_path in self.attribute_paths(target)
+        ]
         for s_path in self.attribute_paths(source):
-            s_attr = s_path.split(".", 1)[1]
-            for t_path in self.attribute_paths(target):
-                t_attr = t_path.split(".", 1)[1]
-                matrix.set(s_path, t_path, self._score(s_attr, t_attr))
+            canon = self._canonical(s_path.split(".", 1)[1])
+            for t_path, t_canon in target_attrs:
+                matrix.set(s_path, t_path, self._overlap(canon, t_canon))
         return matrix
